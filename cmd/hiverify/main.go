@@ -423,10 +423,12 @@ func runE22() error {
 	if err != nil && !errors.Is(err, sim.ErrBudget) {
 		return fmt.Errorf("%s: %w", h.Name, err)
 	}
+	noteBudget(err)
 	n2, err := hicheck.CheckExhaustive(c, h, resizeScripts, hicheck.StateQuiescent, depth(20, 28), 400000, true)
 	if err != nil && !errors.Is(err, sim.ErrBudget) {
 		return fmt.Errorf("%s resize: %w", h.Name, err)
 	}
+	noteBudget(err)
 	fmt.Printf("    state-quiescent HI + linearizability PASS (%d displacement + %d mid-resize interleavings)\n", n1, n2)
 	if err := hicheck.CheckRandom(c, h, scripts, hicheck.StateQuiescent, depth(120, 500), 31, 5000, true); err != nil {
 		return fmt.Errorf("%s fuzz: %w", h.Name, err)
@@ -454,6 +456,7 @@ func runE22() error {
 	if err != nil && !errors.Is(err, sim.ErrBudget) {
 		return fmt.Errorf("%s: %w", hw.Name, err)
 	}
+	noteBudget(err)
 	if err := hicheck.CheckRandom(cw, hw, wide, hicheck.StateQuiescent, depth(80, 400), 53, 4000, true); err != nil {
 		return fmt.Errorf("%s fuzz: %w", hw.Name, err)
 	}
@@ -1000,4 +1003,13 @@ func phases(pid1, n1, pid2, n2 int) *sim.Phases {
 		{PID: pid1, Steps: n1}, {PID: pid2, Steps: n2},
 		{PID: pid1, Steps: 400}, {PID: pid2, Steps: 400},
 	}}
+}
+
+// noteBudget prints what a budget-truncated exhaustive check left
+// unexplored; the check itself still counts as passed up to its budget.
+func noteBudget(err error) {
+	var be *hicheck.BudgetError
+	if errors.As(err, &be) {
+		fmt.Printf("    budget reached: %v\n", be)
+	}
 }

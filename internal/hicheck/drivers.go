@@ -1,6 +1,7 @@
 package hicheck
 
 import (
+	"errors"
 	"fmt"
 
 	"hiconc/internal/core"
@@ -48,10 +49,12 @@ func Scripts(h *harness.Harness, lens []int) [][][]core.Op {
 // CheckExhaustive explores every interleaving (up to maxSteps primitive
 // steps and the run budget) of every given script set, verifying HI under
 // class and, when checkLin is set, linearizability of every trace. It
-// returns the number of traces inspected.
+// returns the number of traces inspected. The budget applies to each script
+// set; the first set that exhausts it ends the check with a *BudgetError,
+// which satisfies errors.Is(err, sim.ErrBudget).
 func CheckExhaustive(c *Canon, h *harness.Harness, scriptSets [][][]core.Op, class ObsClass, maxSteps, budget int, checkLin bool) (int, error) {
 	total := 0
-	for _, scripts := range scriptSets {
+	for i, scripts := range scriptSets {
 		if err := h.Validate(scripts); err != nil {
 			return total, err
 		}
@@ -67,12 +70,38 @@ func CheckExhaustive(c *Canon, h *harness.Harness, scriptSets [][][]core.Op, cla
 			return nil
 		})
 		total += n
+		if errors.Is(err, sim.ErrBudget) {
+			return total, &BudgetError{Set: i, Scripts: scripts, Traces: n, Unreached: scriptSets[i+1:]}
+		}
 		if err != nil {
 			return total, err
 		}
 	}
 	return total, nil
 }
+
+// BudgetError reports an exhaustive check cut short by its run budget: the
+// script set whose exploration ran out, the traces of it that were checked,
+// and the later script sets that were never explored.
+type BudgetError struct {
+	// Set is the 0-based index of the truncated script set; Scripts is
+	// that set.
+	Set     int
+	Scripts [][]core.Op
+	// Traces is the number of the set's traces checked before the budget
+	// ran out.
+	Traces int
+	// Unreached are the script sets after it, none of them explored.
+	Unreached [][][]core.Op
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("hicheck: script set %d of %d %v truncated after %d traces; %d later sets not explored %v: %v",
+		e.Set+1, e.Set+1+len(e.Unreached), e.Scripts, e.Traces, len(e.Unreached), e.Unreached, sim.ErrBudget)
+}
+
+// Unwrap returns sim.ErrBudget.
+func (e *BudgetError) Unwrap() error { return sim.ErrBudget }
 
 // CheckRandom fuzzes the implementation with n random schedules per script
 // set, verifying HI under class and, when checkLin is set, linearizability.

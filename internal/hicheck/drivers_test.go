@@ -31,9 +31,18 @@ func TestCheckExhaustiveBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hicheck.CheckExhaustive(c, h, hicheck.Scripts(h, []int{1, 1}), hicheck.StateQuiescent, 12, 3, false)
+	sets := hicheck.Scripts(h, []int{1, 1})
+	n, err := hicheck.CheckExhaustive(c, h, sets, hicheck.StateQuiescent, 12, 3, false)
 	if !errors.Is(err, sim.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	var be *hicheck.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %T, want *hicheck.BudgetError", err)
+	}
+	if be.Set != 0 || be.Traces != 3 || n != 3 || len(be.Unreached) != len(sets)-1 {
+		t.Errorf("truncated set %d after %d traces (returned %d), %d sets unreached; want set 0, 3 traces, %d unreached",
+			be.Set, be.Traces, n, len(be.Unreached), len(sets)-1)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hiconc/internal/core"
+	"hiconc/internal/harness"
 	"hiconc/internal/hicheck"
 	"hiconc/internal/hihash"
 	"hiconc/internal/sim"
@@ -12,6 +13,21 @@ import (
 )
 
 func growOp() core.Op { return core.Op{Name: spec.OpGrow} }
+
+// checkExhaustive runs hicheck.CheckExhaustive with linearizability and
+// fails the test on any error except a budget cut-off, which it logs
+// together with the script sets it left unexplored.
+func checkExhaustive(t *testing.T, c *hicheck.Canon, h *harness.Harness, scripts [][][]core.Op, class hicheck.ObsClass, maxSteps, budget int) {
+	t.Helper()
+	n, err := hicheck.CheckExhaustive(c, h, scripts, class, maxSteps, budget, true)
+	if err != nil && !errors.Is(err, sim.ErrBudget) {
+		t.Fatalf("%s [%v]: %v", h.Name, class, err)
+	}
+	t.Logf("%s [%v]: %d traces checked", h.Name, class, n)
+	if err != nil {
+		t.Logf("%s [%v]: %v", h.Name, class, err)
+	}
+}
 
 // displaceParams is the exhaustively checkable geometry: 3 keys over 2
 // groups of 1 slot (capacity 2 at level 0, 4 at level 1), so
@@ -84,9 +100,7 @@ func TestDisplaceSimSQHIAndLinearizable(t *testing.T) {
 		maxSteps = 26
 		budget = 1200000
 	}
-	if _, err := hicheck.CheckExhaustive(c, h, scripts, hicheck.StateQuiescent, maxSteps, budget, true); err != nil && !errors.Is(err, sim.ErrBudget) {
-		t.Fatalf("%s: %v", h.Name, err)
-	}
+	checkExhaustive(t, c, h, scripts, hicheck.StateQuiescent, maxSteps, budget)
 	// Deep randomized pass over full executions.
 	fuzzN := 60
 	fuzzSteps := 2500
@@ -125,9 +139,7 @@ func TestDisplaceSimResizeSchedules(t *testing.T) {
 		maxSteps = 30
 		budget = 1200000
 	}
-	if _, err := hicheck.CheckExhaustive(c, h, scripts, hicheck.StateQuiescent, maxSteps, budget, true); err != nil && !errors.Is(err, sim.ErrBudget) {
-		t.Fatalf("%s: %v", h.Name, err)
-	}
+	checkExhaustive(t, c, h, scripts, hicheck.StateQuiescent, maxSteps, budget)
 	fuzzN := 60
 	fuzzSteps := 3000
 	if !testing.Short() {
@@ -178,9 +190,7 @@ func TestDisplaceSimWideGroups(t *testing.T) {
 		maxSteps = 24
 		budget = 800000
 	}
-	if _, err := hicheck.CheckExhaustive(c, h, scripts, hicheck.StateQuiescent, maxSteps, budget, true); err != nil && !errors.Is(err, sim.ErrBudget) {
-		t.Fatalf("%s: %v", h.Name, err)
-	}
+	checkExhaustive(t, c, h, scripts, hicheck.StateQuiescent, maxSteps, budget)
 	fuzzN := 80
 	fuzzSteps := 3000
 	if !testing.Short() {

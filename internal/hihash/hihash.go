@@ -50,6 +50,7 @@ package hihash
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -105,30 +106,43 @@ func (p Params) String() string { return fmt.Sprintf("t=%d,g=%d,b=%d", p.T, p.G,
 func EncodeGroup(keys []int) string {
 	sorted := append([]int(nil), keys...)
 	sort.Ints(sorted)
-	parts := make([]string, len(sorted))
-	for i, k := range sorted {
-		parts[i] = fmt.Sprint(k)
-	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return encodeRaw(sorted)
 }
 
 // DecodeGroup parses an EncodeGroup rendering back into its sorted keys.
 func DecodeGroup(s string) []int {
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		panic("hihash: bad group encoding " + s)
-	}
-	body := s[1 : len(s)-1]
+	body := groupBody(s)
 	if body == "" {
 		return nil
 	}
-	parts := strings.Split(body, ",")
-	keys := make([]int, len(parts))
-	for i, p := range parts {
-		if _, err := fmt.Sscan(p, &keys[i]); err != nil {
-			panic("hihash: bad group encoding " + s)
+	keys := make([]int, 0, strings.Count(body, ",")+1)
+	for {
+		part, rest, more := strings.Cut(body, ",")
+		keys = append(keys, parseKey(part, s))
+		if !more {
+			return keys
 		}
+		body = rest
 	}
-	return keys
+}
+
+// groupBody returns the text between the braces of the group encoding s;
+// it panics if s is not braced.
+func groupBody(s string) string {
+	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
+		panic("hihash: bad group encoding " + s)
+	}
+	return s[1 : len(s)-1]
+}
+
+// parseKey parses the decimal key part of the group encoding s; it panics
+// if part is not one.
+func parseKey(part, s string) int {
+	k, err := strconv.Atoi(part)
+	if err != nil {
+		panic("hihash: bad group encoding " + s)
+	}
+	return k
 }
 
 // groupsOf partitions elems (keys of {1..T}) into per-group sorted key

@@ -1,8 +1,10 @@
 package hihash
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"hiconc/internal/core"
@@ -130,17 +132,15 @@ func runSimOp(pr *sim.Proc, groups []*sim.CASObj, p Params, variant Variant, op 
 // encodeRaw renders keys in their given order (EncodeGroup would re-sort,
 // masking the append ablation).
 func encodeRaw(keys []int) string {
-	if len(keys) == 0 {
-		return "{}"
-	}
-	s := "{"
+	buf := make([]byte, 0, 2+4*len(keys))
+	buf = append(buf, '{')
 	for i, k := range keys {
 		if i > 0 {
-			s += ","
+			buf = append(buf, ',')
 		}
-		s += fmt.Sprint(k)
+		buf = strconv.AppendInt(buf, int64(k), 10)
 	}
-	return s + "}"
+	return string(append(buf, '}'))
 }
 
 // indexOf returns the position of key in keys, or -1.
@@ -207,24 +207,31 @@ const simGone = "gone"
 // (marks rendered "k*"), restore flags ("+") after them.
 func encodeSlots(slots []simSlot) string {
 	sorted := append([]simSlot(nil), slots...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].flag != sorted[j].flag {
-			return !sorted[i].flag
+	slices.SortStableFunc(sorted, func(a, b simSlot) int {
+		if a.flag != b.flag {
+			if a.flag {
+				return 1
+			}
+			return -1
 		}
-		return sorted[i].key < sorted[j].key
+		return cmp.Compare(a.key, b.key)
 	})
-	parts := make([]string, len(sorted))
+	buf := make([]byte, 0, 2+4*len(sorted))
+	buf = append(buf, '{')
 	for i, sl := range sorted {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
 		switch {
 		case sl.flag:
-			parts[i] = "+"
+			buf = append(buf, '+')
 		case sl.marked:
-			parts[i] = fmt.Sprintf("%d*", sl.key)
+			buf = append(strconv.AppendInt(buf, int64(sl.key), 10), '*')
 		default:
-			parts[i] = fmt.Sprint(sl.key)
+			buf = strconv.AppendInt(buf, int64(sl.key), 10)
 		}
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return string(append(buf, '}'))
 }
 
 // decodeSlots parses an encodeSlots rendering.
@@ -232,33 +239,26 @@ func decodeSlots(s string) []simSlot {
 	if s == simGone {
 		panic("hihash: decodeSlots on a drained group")
 	}
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		panic("hihash: bad group encoding " + s)
-	}
-	body := s[1 : len(s)-1]
+	body := groupBody(s)
 	if body == "" {
 		return nil
 	}
-	var out []simSlot
-	for _, part := range strings.Split(body, ",") {
+	out := make([]simSlot, 0, strings.Count(body, ",")+1)
+	for {
+		part, rest, more := strings.Cut(body, ",")
 		switch {
 		case part == "+":
 			out = append(out, simSlot{flag: true})
 		case strings.HasSuffix(part, "*"):
-			var k int
-			if _, err := fmt.Sscan(part[:len(part)-1], &k); err != nil {
-				panic("hihash: bad group encoding " + s)
-			}
-			out = append(out, simSlot{key: k, marked: true})
+			out = append(out, simSlot{key: parseKey(part[:len(part)-1], s), marked: true})
 		default:
-			var k int
-			if _, err := fmt.Sscan(part, &k); err != nil {
-				panic("hihash: bad group encoding " + s)
-			}
-			out = append(out, simSlot{key: k})
+			out = append(out, simSlot{key: parseKey(part, s)})
 		}
+		if !more {
+			return out
+		}
+		body = rest
 	}
-	return out
 }
 
 // NewDisplaceHarness builds the lock-step-simulator twin of the

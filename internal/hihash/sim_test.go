@@ -67,9 +67,7 @@ func TestSimPerfectHIAndLinearizable(t *testing.T) {
 		maxSteps = 16
 	}
 	for _, class := range []hicheck.ObsClass{hicheck.Perfect, hicheck.StateQuiescent} {
-		if _, err := hicheck.CheckExhaustive(c, h, scripts, class, maxSteps, 400000, true); err != nil && !errors.Is(err, sim.ErrBudget) {
-			t.Fatalf("%s [%v]: %v", h.Name, class, err)
-		}
+		checkExhaustive(t, c, h, scripts, class, maxSteps, 400000)
 	}
 	// Deep randomized pass over full executions.
 	if err := hicheck.CheckRandom(c, h, scripts, hicheck.Perfect, 300, 17, 3000, true); err != nil {

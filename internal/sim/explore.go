@@ -17,10 +17,14 @@ type Builder func() *Runner
 // Explore enumerates every schedule of the runner built by build, up to
 // maxSteps primitive steps, and calls visit on each maximal trace (a trace
 // in which either all processes finished or the step bound was reached).
-// Exploration is stateless: each schedule is replayed from scratch, as in
-// CHESS-style model checking. At most budget runs are performed; if the
-// budget is exhausted Explore returns ErrBudget. It returns the number of
-// maximal traces visited.
+// Exploration is stateless, as in CHESS-style model checking, and performs
+// one run per maximal trace: the depth-first search extends the live
+// runner in place into the first child of every node and rebuilds a runner,
+// replaying the schedule prefix, only for each later sibling. Traces are
+// visited in depth-first order. At most budget runs (runners built) are
+// performed; if the budget is exhausted Explore returns ErrBudget. It
+// returns the number of maximal traces visited. Every runner is stopped
+// before Explore returns, also when visit fails.
 //
 // Paused processes are resumed automatically (exhaustive exploration is not
 // used with adaptive drivers).
@@ -36,24 +40,18 @@ func Explore(build Builder, maxSteps, budget int, visit func(*Trace) error) (int
 		runs++
 		r := build()
 		r.Start()
+		resumeAll(r)
 		for _, pid := range prefix {
-			for _, p := range r.Paused() {
-				r.Resume(p)
-			}
 			r.Step(pid)
-		}
-		for _, p := range r.Paused() {
-			r.Resume(p)
+			resumeAll(r)
 		}
 		return r, nil
 	}
 
-	var dfs func(prefix []int) error
-	dfs = func(prefix []int) error {
-		r, err := replay(prefix)
-		if err != nil {
-			return err
-		}
+	// dfs explores the subtree below prefix; r is the live runner at the
+	// end of prefix, and dfs stops it.
+	var dfs func(r *Runner, prefix []int) error
+	dfs = func(r *Runner, prefix []int) error {
 		runnable := r.Runnable()
 		if len(runnable) == 0 || len(prefix) >= maxSteps {
 			t := r.Trace()
@@ -64,17 +62,35 @@ func Explore(build Builder, maxSteps, budget int, visit func(*Trace) error) (int
 			visited++
 			return visit(t)
 		}
-		r.Stop()
-		for _, pid := range runnable {
-			if err := dfs(append(prefix, pid)); err != nil {
+		for i, pid := range runnable {
+			if i > 0 {
+				var err error
+				if r, err = replay(prefix); err != nil {
+					return err
+				}
+			}
+			r.Step(pid)
+			resumeAll(r)
+			if err := dfs(r, append(prefix, pid)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	err := dfs(nil)
+	r, err := replay(nil)
+	if err != nil {
+		return 0, err
+	}
+	err = dfs(r, nil)
 	return visited, err
+}
+
+// resumeAll resumes every paused process of r.
+func resumeAll(r *Runner) {
+	for _, p := range r.Paused() {
+		r.Resume(p)
+	}
 }
 
 // RandomTraces runs n random schedules (seeded seed, seed+1, ...) of the
@@ -103,9 +119,7 @@ func SequentialOps(build Builder, maxSteps int, pick func(opIdx int, runnable []
 	defer r.Stop()
 	opIdx := 0
 	for len(r.Trace().Steps) < maxSteps {
-		for _, p := range r.Paused() {
-			r.Resume(p)
-		}
+		resumeAll(r)
 		runnable := r.Runnable()
 		if len(runnable) == 0 {
 			return r.Trace()

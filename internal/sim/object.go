@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -97,6 +98,23 @@ type BaseObject interface {
 	reset()
 }
 
+// encodeValue renders v exactly as fmt.Sprintf("%v", v) would. The memory
+// is snapshotted after every simulated step, so the value types base
+// objects hold in practice (string, int, bool) skip fmt; any other type
+// falls back to it.
+func encodeValue(v Value) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case int:
+		return strconv.Itoa(x)
+	case bool:
+		return strconv.FormatBool(x)
+	default:
+		return fmt.Sprintf("%v", v)
+	}
+}
+
 // Reg is an atomic read/write register. An optional domain restricts the
 // values it may hold (NewBinReg restricts to {0,1} to model the paper's
 // binary registers).
@@ -113,7 +131,7 @@ var _ BaseObject = (*Reg)(nil)
 func (r *Reg) Name() string { return r.name }
 
 // State implements BaseObject.
-func (r *Reg) State() string { return fmt.Sprintf("%v", r.cur) }
+func (r *Reg) State() string { return encodeValue(r.cur) }
 
 func (r *Reg) apply(_ int, pr Prim) Value {
 	switch pr.Kind {
@@ -147,7 +165,7 @@ var _ BaseObject = (*CASObj)(nil)
 func (c *CASObj) Name() string { return c.name }
 
 // State implements BaseObject.
-func (c *CASObj) State() string { return fmt.Sprintf("%v", c.cur) }
+func (c *CASObj) State() string { return encodeValue(c.cur) }
 
 func (c *CASObj) apply(_ int, pr Prim) Value {
 	switch pr.Kind {

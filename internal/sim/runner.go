@@ -266,9 +266,7 @@ func (r *Runner) Run(s Scheduler, maxSteps int) *Trace {
 	r.Start()
 	defer r.Stop()
 	for len(r.trace.Steps) < maxSteps {
-		for _, pid := range r.Paused() {
-			r.Resume(pid)
-		}
+		resumeAll(r)
 		runnable := r.Runnable()
 		if len(runnable) == 0 {
 			return r.trace
