@@ -328,9 +328,6 @@ func BenchmarkE21HashTable(b *testing.B) {
 		b.Run(fmt.Sprintf("zipf=%.2f/sharded-universal/S=16", s), func(b *testing.B) {
 			benchPerKey(b, shard.NewSet(n, domain, 16), n, mix)
 		})
-		b.Run(fmt.Sprintf("zipf=%.2f/sharded-hihash/S=16", s), func(b *testing.B) {
-			benchPerKey(b, shard.NewHashSet(n, domain, 16), n, mix)
-		})
 		b.Run(fmt.Sprintf("zipf=%.2f/syncmap", s), func(b *testing.B) {
 			benchPerKey(b, conc.NewSyncMapSet(), n, mix)
 		})
@@ -556,7 +553,7 @@ func BenchmarkSimStep(b *testing.B) {
 			p.Read(x)
 		}
 	}
-	r := sim.NewRunner(mem, []sim.Program{prog}, sim.WithSnapshots(false))
+	r := sim.NewRunner(mem, []sim.Program{prog})
 	r.Start()
 	defer r.Stop()
 	b.ResetTimer()

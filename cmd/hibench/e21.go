@@ -40,8 +40,8 @@ func runE21() {
 	const n, domain, mapKeys = 8, 16384, 256
 
 	fmt.Println("\n    set, 10% lookups, 8 goroutines (ns/op):")
-	fmt.Printf("%10s %16s %16s %18s %16s %12s\n",
-		"zipf", "hihash load=0.5", "hihash load=1.0", "sharded-universal", "sharded-hihash", "sync.Map")
+	fmt.Printf("%10s %16s %16s %18s %12s\n",
+		"zipf", "hihash load=0.5", "hihash load=1.0", "sharded-universal", "sync.Map")
 	type rejectRow struct {
 		zipf       float64
 		half, full float64
@@ -52,11 +52,10 @@ func runE21() {
 			return g.SetZipf(8192, domain, s, 0.1)
 		})
 		tag := fmt.Sprintf("set/zipf=%.2f", s)
-		fmt.Printf("%10.2f %16s %16s %18s %16s %12s\n", s,
+		fmt.Printf("%10.2f %16s %16s %18s %12s\n", s,
 			measurePerKey("E21", tag+"/hihash/load=0.5", hihash.NewSet(domain, domain/2), n, mixes),
 			measurePerKey("E21", tag+"/hihash/load=1.0", hihash.NewSet(domain, domain/4), n, mixes),
 			measurePerKey("E21", tag+"/sharded-universal/S=16", shard.NewSet(n, domain, 16), n, mixes),
-			measurePerKey("E21", tag+"/sharded-hihash/S=16", shard.NewHashSet(n, domain, 16), n, mixes),
 			measurePerKey("E21", tag+"/syncmap", conc.NewSyncMapSet(), n, mixes))
 		row := rejectRow{
 			zipf: s,
@@ -69,7 +68,7 @@ func runE21() {
 	}
 	fmt.Println("\n    insert rejection rate of the bounded tables (RspFull; a rejected")
 	fmt.Println("    insert is one load, cheaper than a real insert — qualify ns/op with")
-	fmt.Println("    it; sharded-hihash displaces since E22 and never rejects):")
+	fmt.Println("    it):")
 	for _, r := range rejects {
 		fmt.Printf("      zipf=%.2f: load=0.5 %.2f%%, load=1.0 %.2f%%\n",
 			r.zipf, 100*r.half, 100*r.full)

@@ -23,6 +23,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -42,20 +44,42 @@ var expFlag = flag.String("exp", "all", "experiments to render: E3, E6, E25 or '
 
 func main() {
 	flag.Parse()
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hitrace:", err)
+		os.Exit(1)
+	}
+}
+
+// experiments lists the renderings in output order. -exp is validated
+// against their ids, so a typo fails loudly instead of selecting nothing.
+var experiments = []struct {
+	id  string
+	run func()
+}{{"E3", runE3}, {"E6", runE6}, {"E25", runE25}}
+
+// run renders the experiments named by -exp (split from main so the tests
+// can drive it in-process).
+func run() error {
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
 		want[strings.ToUpper(strings.TrimSpace(e))] = true
 	}
-	all := want["ALL"]
-	if all || want["E3"] {
-		runE3()
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
 	}
-	if all || want["E6"] {
-		runE6()
+	for e := range want {
+		if e != "ALL" && !slices.Contains(ids, e) {
+			return fmt.Errorf("unknown experiment %q in -exp (have %s or 'all')",
+				e, strings.Join(ids, ", "))
+		}
 	}
-	if all || want["E25"] {
-		runE25()
+	for _, e := range experiments {
+		if want["ALL"] || want[e.id] {
+			e.run()
+		}
 	}
+	return nil
 }
 
 func runE3() {

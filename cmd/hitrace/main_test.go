@@ -28,3 +28,16 @@ func TestSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownExperiment checks that a typo in -exp fails loudly instead
+// of silently rendering nothing.
+func TestUnknownExperiment(t *testing.T) {
+	*expFlag = "E3,E99"
+	err := run()
+	if err == nil {
+		t.Fatal("expected an unknown-experiment error, got success")
+	}
+	if !strings.Contains(err.Error(), `unknown experiment "E99"`) {
+		t.Errorf("unexpected error: %v", err)
+	}
+}

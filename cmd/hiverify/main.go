@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -55,47 +56,67 @@ var (
 
 func main() {
 	flag.Parse()
-	if !runSelected() {
+	if err := runSelected(); err != nil {
+		fmt.Fprintln(os.Stderr, "hiverify:", err)
 		os.Exit(1)
 	}
 }
 
-// runSelected runs the experiments named by -exp and reports overall
-// success (split from main so the smoke tests can drive it in-process).
-func runSelected() bool {
+// experiments lists the checks in run order. -exp is validated against
+// their ids, so a typo fails loudly instead of selecting nothing.
+var experiments = []struct {
+	id, title string
+	run       func() error
+}{
+	{"E1", "Algorithm 1 is not history independent (Section 4)", runE1},
+	{"E2", "Table 1: the SWSR register possibility matrix", runE2},
+	{"E6", "Universal construction: linearizable, wait-free, state-quiescent HI (Theorem 32)", runE6},
+	{"E7", "Ablation: removing the RL lines breaks quiescent HI (Lemma 27)", runE7},
+	{"E8", "Ablation: removing the escape hatches breaks wait-freedom", runE8},
+	{"E9", "Algorithm 6: R-LLSC from CAS (Theorem 28)", runE9},
+	{"E13", "Proposition 19: the reader must write", runE13},
+	{"E14", "Section 5.1: max register and set positive results", runE14},
+	{"E15", "Baseline: the Fatourou-Kallimanis-style universal construction is not HI", runE15},
+	{"E21", "HICHT hash table: perfect HI and linearizable; append ablation refuted", runE21},
+	{"E22", "Unbounded HICHT: displacement + online resize are SQHI and linearizable; perfect HI provably lost", runE22},
+	{"E23", "Adversarial observers: twin raw dumps indistinguishable; every crash point recovers to canonical", runE23},
+	{"E25", "Flight recorder: native executions captured and machine-checked for linearizability", runE25},
+	{"E26", "Fast-path reads: lookup-heavy runs linearizable; reads correct against parked marks; twin dumps identical under readers", runE26},
+}
+
+// runSelected runs the experiments named by -exp and fails if an id is
+// unknown or any experiment fails (split from main so the smoke tests can
+// drive it in-process).
+func runSelected() error {
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
 		want[strings.ToUpper(strings.TrimSpace(e))] = true
 	}
-	all := want["ALL"]
-	failed := false
-	run := func(id, title string, f func() error) {
-		if !all && !want[id] {
-			return
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	for e := range want {
+		if e != "ALL" && !slices.Contains(ids, e) {
+			return fmt.Errorf("unknown experiment %q in -exp (have %s or 'all')",
+				e, strings.Join(ids, ", "))
 		}
-		fmt.Printf("=== %s: %s\n", id, title)
-		if err := f(); err != nil {
-			failed = true
+	}
+	failed := 0
+	for _, e := range experiments {
+		if !want["ALL"] && !want[e.id] {
+			continue
+		}
+		fmt.Printf("=== %s: %s\n", e.id, e.title)
+		if err := e.run(); err != nil {
+			failed++
 			fmt.Printf("    FAILED: %v\n", err)
 		}
 	}
-
-	run("E1", "Algorithm 1 is not history independent (Section 4)", runE1)
-	run("E2", "Table 1: the SWSR register possibility matrix", runE2)
-	run("E6", "Universal construction: linearizable, wait-free, state-quiescent HI (Theorem 32)", runE6)
-	run("E7", "Ablation: removing the RL lines breaks quiescent HI (Lemma 27)", runE7)
-	run("E8", "Ablation: removing the escape hatches breaks wait-freedom", runE8)
-	run("E9", "Algorithm 6: R-LLSC from CAS (Theorem 28)", runE9)
-	run("E13", "Proposition 19: the reader must write", runE13)
-	run("E14", "Section 5.1: max register and set positive results", runE14)
-	run("E15", "Baseline: the Fatourou-Kallimanis-style universal construction is not HI", runE15)
-	run("E21", "HICHT hash table: perfect HI and linearizable; append ablation refuted", runE21)
-	run("E22", "Unbounded HICHT: displacement + online resize are SQHI and linearizable; perfect HI provably lost", runE22)
-	run("E23", "Adversarial observers: twin raw dumps indistinguishable; every crash point recovers to canonical", runE23)
-	run("E25", "Flight recorder: native executions captured and machine-checked for linearizability", runE25)
-	run("E26", "Fast-path reads: lookup-heavy runs linearizable; reads correct against parked marks; twin dumps identical under readers", runE26)
-
-	return !failed
+	if failed > 0 {
+		return fmt.Errorf("%d experiment(s) failed", failed)
+	}
+	return nil
 }
 
 func depth(short, deep int) int {

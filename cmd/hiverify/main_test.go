@@ -19,12 +19,12 @@ func TestSmoke(t *testing.T) {
 	}
 	orig := os.Stdout
 	os.Stdout = w
-	ok := runSelected()
+	err = runSelected()
 	os.Stdout = orig
 	w.Close()
 	out, _ := io.ReadAll(r)
-	if !ok {
-		t.Fatalf("hiverify -exp E1,E21 failed:\n%s", out)
+	if err != nil {
+		t.Fatalf("hiverify -exp E1,E21 failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{"REFUTED(expected)", "PASS"} {
 		if !strings.Contains(string(out), want) {
@@ -47,12 +47,12 @@ func TestSmokeE23(t *testing.T) {
 	}
 	orig := os.Stdout
 	os.Stdout = w
-	ok := runSelected()
+	err = runSelected()
 	os.Stdout = orig
 	w.Close()
 	out, _ := io.ReadAll(r)
-	if !ok {
-		t.Fatalf("hiverify -exp E23 failed:\n%s", out)
+	if err != nil {
+		t.Fatalf("hiverify -exp E23 failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{"bounded twins", "displacing twins", "sim crash schedules", "native Kill matrix"} {
 		if !strings.Contains(string(out), want) {
@@ -73,12 +73,12 @@ func TestSmokeE25(t *testing.T) {
 	}
 	orig := os.Stdout
 	os.Stdout = w
-	ok := runSelected()
+	err = runSelected()
 	os.Stdout = orig
 	w.Close()
 	out, _ := io.ReadAll(r)
-	if !ok {
-		t.Fatalf("hiverify -exp E25 failed:\n%s", out)
+	if err != nil {
+		t.Fatalf("hiverify -exp E25 failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{"recorded stress run", "recorded crash schedule", "corrupted recording rejected", "linearizable"} {
 		if !strings.Contains(string(out), want) {
@@ -100,16 +100,29 @@ func TestSmokeE26(t *testing.T) {
 	}
 	orig := os.Stdout
 	os.Stdout = w
-	ok := runSelected()
+	err = runSelected()
 	os.Stdout = orig
 	w.Close()
 	out, _ := io.ReadAll(r)
-	if !ok {
-		t.Fatalf("hiverify -exp E26 failed:\n%s", out)
+	if err != nil {
+		t.Fatalf("hiverify -exp E26 failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{"recorded lookup-heavy run", "park-at-mark", "twins under readers"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestUnknownExperiment checks that a typo in -exp fails loudly before any
+// experiment runs, instead of silently selecting nothing.
+func TestUnknownExperiment(t *testing.T) {
+	*expFlag = "E1,E99"
+	err := runSelected()
+	if err == nil {
+		t.Fatal("expected an unknown-experiment error, got success")
+	}
+	if !strings.Contains(err.Error(), `unknown experiment "E99"`) {
+		t.Errorf("unexpected error: %v", err)
 	}
 }

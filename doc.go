@@ -46,7 +46,7 @@
 //   - internal/shard — hash-partitioned scale-out objects composing many
 //     universal-construction instances into one history-independent set or
 //     multi-counter, plus the simulator harness that machine-checks the
-//     composition, and the hihash-backed direct-table variant (HashSet);
+//     composition;
 //   - internal/hihash — the HICHT subsystem: a lock-free hash table whose
 //     bucket groups are single CAS words holding keys in canonical
 //     priority order, with no serialization point. The bounded variant is

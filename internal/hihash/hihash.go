@@ -43,8 +43,7 @@
 //     (including schedules that cross an online resize), plus ablations
 //     the checker must refute (VariantAppend and DisplaceNoShift);
 //   - a native port (Set, Map) over sync/atomic words, exposed through
-//     internal/obj as HashSet/HashMap and through internal/shard as the
-//     direct table backend replacing the per-shard universal construction.
+//     internal/obj as HashSet/HashMap.
 package hihash
 
 import (

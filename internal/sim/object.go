@@ -4,12 +4,12 @@
 // configuration records the state of every base object (the memory
 // representation mem(C)).
 //
-// The simulator runs each process as a goroutine in lock step with a single
-// runner: a process blocks until the scheduler grants it a step, so every
-// interleaving of primitive steps can be produced, replayed and inspected.
-// After every step the runner snapshots the memory representation, which is
-// exactly the object of the history-independence definitions (Definitions
-// 4, 5, 7 and 8).
+// The simulator runs each process as a coroutine in lock step with a single
+// runner: a process is suspended until the scheduler grants it a step, so
+// every interleaving of primitive steps can be produced, replayed and
+// inspected. After every step the runner snapshots the memory
+// representation, which is exactly the object of the history-independence
+// definitions (Definitions 4, 5, 7 and 8).
 package sim
 
 import (
@@ -84,7 +84,7 @@ func (p Prim) String() string {
 }
 
 // BaseObject is a shared base object. Only the runner applies primitives;
-// process goroutines merely describe the primitive they want to execute.
+// processes merely describe the primitive they want to execute.
 // Implementations live in this package so that application stays single-
 // threaded and race-free by construction.
 type BaseObject interface {

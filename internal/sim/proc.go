@@ -1,15 +1,15 @@
 package sim
 
-import (
-	"runtime"
-
-	"hiconc/internal/core"
-)
+import "hiconc/internal/core"
 
 // Program is the code a single process runs: a sequence of high-level
 // operations implemented in terms of primitive steps on base objects via the
 // Proc handle. A Program returns when the process has no more operations to
 // perform.
+//
+// The runner may stop a program at any primitive step by unwinding it with
+// a private panic, so deferred calls run. A program must not swallow that
+// panic with a blanket recover.
 type Program func(p *Proc)
 
 type msgKind int
@@ -31,45 +31,40 @@ type procMsg struct {
 }
 
 // Proc is the handle through which a program issues primitive steps and
-// operation bookkeeping. Every primitive method blocks until the scheduler
-// grants the process a step, so the runner controls the interleaving
-// exactly. Proc methods must only be called from the program's goroutine.
+// operation bookkeeping. The runner resumes each program as a coroutine:
+// every primitive method suspends the program until the scheduler grants
+// the process a step, so the runner controls the interleaving exactly.
+// Proc methods must only be called from the program itself.
 type Proc struct {
 	// ID is the process index p_i, 0-based.
 	ID int
 	// N is the total number of processes in the system.
 	N int
 
-	out   chan procMsg
-	grant chan Value
-	quit  <-chan struct{}
+	yield    func(procMsg) bool
+	grant    Value // result of the last granted request, set by the runner
+	stopping bool  // set by the runner's Stop: unwind at the next Proc call
 }
 
-// send delivers a message to the runner, or terminates the goroutine if the
-// runner has stopped.
+// stopped is the panic value that unwinds a program when the runner stops.
+type stopped struct{}
+
+// send hands a message to the runner and suspends the program until the
+// runner resumes it. If the runner has stopped instead, the program is
+// unwound.
 func (p *Proc) send(m procMsg) {
-	select {
-	case p.out <- m:
-	case <-p.quit:
-		runtime.Goexit()
+	if !p.stopping {
+		p.yield(m)
 	}
-}
-
-// await blocks until the runner grants the pending request.
-func (p *Proc) await() Value {
-	select {
-	case v := <-p.grant:
-		return v
-	case <-p.quit:
-		runtime.Goexit()
-		return nil
+	if p.stopping {
+		panic(stopped{})
 	}
 }
 
 // exec performs one primitive step and returns its result.
 func (p *Proc) exec(pr Prim) Value {
 	p.send(procMsg{kind: msgPrim, prim: pr})
-	return p.await()
+	return p.grant
 }
 
 // Read performs an atomic read of register r.
@@ -155,5 +150,4 @@ func (p *Proc) Return(resp int) {
 // fly.
 func (p *Proc) Pause() {
 	p.send(procMsg{kind: msgPause})
-	p.await()
 }

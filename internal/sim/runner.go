@@ -1,29 +1,25 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Runner executes a set of programs over a shared memory in lock step: at
 // every point each live process is parked at its next primitive step, and
-// Step(pid) executes exactly that step. The runner is single-threaded; all
-// base-object mutation happens on the caller's goroutine.
+// Step(pid) executes exactly that step. Each program runs as a coroutine
+// that only the runner resumes, so the runner is single-threaded: all
+// base-object mutation happens on the caller's goroutine, and a panic in a
+// program reaches the Start, Step or Resume call that resumed it.
 type Runner struct {
-	mem         *Memory
-	progs       []Program
-	snapshotMem bool
+	mem   *Memory
+	progs []Program
 
 	started bool
-	stopped bool
-	quit    chan struct{}
-	wg      sync.WaitGroup
 	procs   []*procState
 	trace   *Trace
 }
 
 type procState struct {
 	proc      *Proc
+	co        *coroutine // nil once the program has finished
 	pending   *Prim
 	paused    bool
 	done      bool
@@ -33,30 +29,16 @@ type procState struct {
 	curOp     Event // invoke event of the current operation
 }
 
-// Option configures a Runner.
-type Option func(*Runner)
-
-// WithSnapshots controls whether the runner records a memory snapshot after
-// every step (default true). Disable for long fuzzing runs that only need
-// histories.
-func WithSnapshots(on bool) Option {
-	return func(r *Runner) { r.snapshotMem = on }
-}
-
 // NewRunner creates a runner for the given memory and per-process programs.
-// Process i runs progs[i].
-func NewRunner(mem *Memory, progs []Program, opts ...Option) *Runner {
-	r := &Runner{mem: mem, progs: progs, snapshotMem: true}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
+// Process i runs progs[i]. The runner snapshots the memory after every step.
+func NewRunner(mem *Memory, progs []Program) *Runner {
+	return &Runner{mem: mem, progs: progs}
 }
 
 // Mem returns the runner's memory.
 func (r *Runner) Mem() *Memory { return r.mem }
 
-// Start resets the memory, spawns the process goroutines and parks each
+// Start resets the memory, creates the process coroutines and parks each
 // process at its first primitive step. It must be called exactly once.
 func (r *Runner) Start() {
 	if r.started {
@@ -64,7 +46,6 @@ func (r *Runner) Start() {
 	}
 	r.started = true
 	r.mem.Reset()
-	r.quit = make(chan struct{})
 	r.trace = &Trace{
 		NumProcs: len(r.progs),
 		ObjNames: r.mem.Names(),
@@ -72,24 +53,8 @@ func (r *Runner) Start() {
 	}
 	r.procs = make([]*procState, len(r.progs))
 	for i, prog := range r.progs {
-		p := &Proc{
-			ID:    i,
-			N:     len(r.progs),
-			out:   make(chan procMsg),
-			grant: make(chan Value),
-			quit:  r.quit,
-		}
-		r.procs[i] = &procState{proc: p}
-		r.wg.Add(1)
-		go func(prog Program, p *Proc) {
-			defer r.wg.Done()
-			prog(p)
-			// Program finished: report completion (or exit if stopped).
-			select {
-			case p.out <- procMsg{kind: msgDone}:
-			case <-r.quit:
-			}
-		}(prog, p)
+		p := &Proc{ID: i, N: len(r.progs)}
+		r.procs[i] = &procState{proc: p, co: getCoroutine(prog, p)}
 	}
 	for i := range r.procs {
 		r.drain(i)
@@ -101,7 +66,7 @@ func (r *Runner) Start() {
 func (r *Runner) drain(pid int) {
 	ps := r.procs[pid]
 	for {
-		m := <-ps.proc.out
+		m, _ := ps.co.next()
 		switch m.kind {
 		case msgPrim:
 			prim := m.prim
@@ -112,6 +77,8 @@ func (r *Runner) drain(pid int) {
 			return
 		case msgDone:
 			ps.done = true
+			putCoroutine(ps.co)
+			ps.co = nil
 			return
 		case msgInvoke:
 			ev := Event{
@@ -214,17 +181,9 @@ func (r *Runner) Step(pid int) {
 	// at the configuration this step produces.
 	r.flushInvoke(ps, len(r.trace.Steps)+1)
 	result := prim.Obj.apply(pid, prim)
-	step := Step{PID: pid, Prim: prim, Result: result}
-	if r.snapshotMem {
-		step.Mem = r.mem.Snapshot()
-	}
-	r.trace.Steps = append(r.trace.Steps, step)
-	// Unblock the process and park it again.
-	select {
-	case ps.proc.grant <- result:
-	case <-r.quit:
-		return
-	}
+	r.trace.Steps = append(r.trace.Steps, Step{PID: pid, Prim: prim, Result: result, Mem: r.mem.Snapshot()})
+	// Hand the result to the process and park it again.
+	ps.proc.grant = result
 	r.drain(pid)
 }
 
@@ -236,27 +195,29 @@ func (r *Runner) Resume(pid int) {
 		panic(fmt.Sprintf("sim: Resume(%d) on non-paused process", pid))
 	}
 	ps.paused = false
-	select {
-	case ps.proc.grant <- nil:
-	case <-r.quit:
-		return
-	}
+	ps.proc.grant = nil
 	r.drain(pid)
 }
 
 // Trace returns the execution recorded so far.
 func (r *Runner) Trace() *Trace { return r.trace }
 
-// Stop terminates all process goroutines and waits for them to exit. It is
-// safe to call multiple times; the runner cannot be reused afterwards.
+// Stop unwinds every unfinished process, running its deferred calls. It is
+// safe to call multiple times, also after a program panicked; the runner
+// cannot be reused afterwards.
 func (r *Runner) Stop() {
-	if !r.started || r.stopped {
-		r.stopped = true
-		return
+	for _, ps := range r.procs {
+		if ps.co == nil {
+			continue
+		}
+		ps.proc.stopping = true
+		// A coroutine whose program panicked has ended; next then reports
+		// nothing and the coroutine is dropped.
+		if m, _ := ps.co.next(); m.kind == msgDone {
+			putCoroutine(ps.co)
+		}
+		ps.co = nil
 	}
-	r.stopped = true
-	close(r.quit)
-	r.wg.Wait()
 }
 
 // Run drives the runner with the scheduler until every process finishes or

@@ -274,7 +274,9 @@ func TestPauseResume(t *testing.T) {
 func TestStopKillsBlockedProcs(t *testing.T) {
 	mem := sim.NewMemory()
 	x := mem.NewReg("x", 0)
+	unwound := false
 	spin := func(p *sim.Proc) {
+		defer func() { unwound = true }()
 		p.Invoke(core.Op{Name: "spin"}, false)
 		for {
 			p.Read(x) // never returns; must be killable
@@ -285,6 +287,36 @@ func TestStopKillsBlockedProcs(t *testing.T) {
 	r.Step(0)
 	r.Step(0)
 	r.Stop() // must not hang
+	if !unwound {
+		t.Error("Stop did not run the stopped program's deferred calls")
+	}
+}
+
+// TestProgramPanicReachesStep: a panic inside a program surfaces from the
+// Step call that resumed it, on the caller's goroutine, and the runner can
+// still be stopped afterwards.
+func TestProgramPanicReachesStep(t *testing.T) {
+	type boom struct{ step int }
+	mem := sim.NewMemory()
+	x := mem.NewReg("x", 0)
+	prog := func(p *sim.Proc) {
+		p.Invoke(core.Op{Name: "boom"}, true)
+		p.Write(x, 1)
+		p.Write(x, 2)
+		panic(boom{step: 2})
+	}
+	r := sim.NewRunner(mem, []sim.Program{prog, incProgram(x, 1)})
+	r.Start()
+	r.Step(0)
+	func() {
+		defer func() {
+			if v := recover(); v != (boom{step: 2}) {
+				t.Errorf("Step panicked with %v, want %v", v, boom{step: 2})
+			}
+		}()
+		r.Step(0)
+	}()
+	r.Stop() // must return, stopping the other process too
 }
 
 func TestRunnerMisusePanics(t *testing.T) {
@@ -304,24 +336,6 @@ func TestRunnerMisusePanics(t *testing.T) {
 	r.Step(0)
 	r.Step(0) // p0 finished its single op and program
 	mustPanic("Step of non-runnable process", func() { r.Step(0) })
-}
-
-func TestWithSnapshotsDisabled(t *testing.T) {
-	mem := sim.NewMemory()
-	x := mem.NewReg("x", 0)
-	prog := func(p *sim.Proc) {
-		p.Invoke(core.Op{Name: "w"}, true)
-		p.Write(x, 1)
-		p.Return(0)
-	}
-	r := sim.NewRunner(mem, []sim.Program{prog}, sim.WithSnapshots(false))
-	tr := r.Run(&sim.RoundRobin{}, 10)
-	if tr.Steps[0].Mem != nil {
-		t.Error("snapshots recorded despite WithSnapshots(false)")
-	}
-	if len(tr.Events) != 2 {
-		t.Errorf("events = %d, want 2 (history still recorded)", len(tr.Events))
-	}
 }
 
 func TestTruncatedFlag(t *testing.T) {
